@@ -1,14 +1,13 @@
-//! Benchmarks of the MKA module: multi-source line-graph construction,
-//! homologous matching, and the confidence computations — the costs the
-//! paper's Q5 discussion attributes to knowledge aggregation.
+//! Benchmarks of the MKA module's slot structure: the Def. 2 line-graph
+//! oracle against the two homologous matchers — the sorted scan over
+//! the graph and the one-pass walk of a prebuilt `TieredIndex` slot
+//! tier (the index itself is built once per epoch at publish).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use multirag_core::confidence::{graph_confidence, mi_similarity};
-use multirag_core::homologous::match_homologous;
-use multirag_core::{IncrementalMlg, MultiSourceLineGraph};
+use multirag_core::homologous::{match_homologous, match_homologous_tiered};
 use multirag_datasets::spec::Scale;
 use multirag_datasets::{flights::FlightsSpec, movies::MoviesSpec, stocks::StocksSpec};
-use multirag_kg::{KnowledgeGraph, LineGraph, Value};
+use multirag_kg::{LineGraph, TieredIndex};
 
 fn construction_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("mlg_construction");
@@ -26,86 +25,26 @@ fn construction_benches(c: &mut Criterion) {
         ("flights_small", FlightsSpec::small().generate(42).graph),
         ("stocks_small", StocksSpec::small().generate(42).graph),
     ] {
+        let size = format!("{label}/{}t", kg.triple_count());
+        group.bench_with_input(BenchmarkId::new("line_graph", &size), &kg, |b, kg| {
+            b.iter(|| LineGraph::from_graph(black_box(kg)))
+        });
+        group.bench_with_input(BenchmarkId::new("homologous_match", &size), &kg, |b, kg| {
+            b.iter(|| match_homologous(black_box(kg)))
+        });
+        let index = TieredIndex::build(&kg);
         group.bench_with_input(
-            BenchmarkId::new("line_graph", format!("{label}/{}t", kg.triple_count())),
-            &kg,
-            |b, kg| b.iter(|| LineGraph::from_graph(black_box(kg))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(
-                "homologous_match",
-                format!("{label}/{}t", kg.triple_count()),
-            ),
-            &kg,
-            |b, kg| b.iter(|| match_homologous(black_box(kg))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("full_mlg", format!("{label}/{}t", kg.triple_count())),
-            &kg,
-            |b, kg| b.iter(|| MultiSourceLineGraph::build(black_box(kg))),
+            BenchmarkId::new("tiered_match", &size),
+            &index,
+            |b, index| b.iter(|| match_homologous_tiered(black_box(index))),
         );
     }
-    group.finish();
-}
-
-fn confidence_benches(c: &mut Criterion) {
-    // A conflicted 8-claim homologous group.
-    let mut kg = KnowledgeGraph::new();
-    let e = kg.add_entity("X", "d");
-    let r = kg.add_relation("attr");
-    for i in 0..8 {
-        let s = kg.add_source(&format!("s{i}"), "json", "d");
-        let v = if i < 5 { "majority" } else { "minority" };
-        kg.add_triple(e, r, Value::from(v), s, 0);
-    }
-    let sets = match_homologous(&kg);
-    let group_ref = &sets.groups[0];
-
-    let mut group = c.benchmark_group("confidence");
-    group.bench_function("mi_similarity_singletons", |b| {
-        let a = Value::from("delayed");
-        let bb = Value::from("on-time");
-        b.iter(|| mi_similarity(black_box(&a), black_box(&bb)))
-    });
-    group.bench_function("mi_similarity_sets", |b| {
-        let a = Value::List(vec![Value::from("x"), Value::from("y"), Value::from("z")]);
-        let bb = Value::List(vec![Value::from("x"), Value::from("y"), Value::from("w")]);
-        b.iter(|| mi_similarity(black_box(&a), black_box(&bb)))
-    });
-    group.bench_function("graph_confidence_8_claims", |b| {
-        b.iter(|| graph_confidence(black_box(&kg), black_box(group_ref)))
-    });
-    group.finish();
-}
-
-fn incremental_benches(c: &mut Criterion) {
-    // Ablation: per-triple incremental maintenance vs full rebuild on
-    // every batch — the design choice behind `IncrementalMlg`.
-    let kg = MoviesSpec::small().generate(42).graph;
-    let mut group = c.benchmark_group("incremental_vs_rebuild");
-    group.bench_function("incremental_full_stream", |b| {
-        b.iter(|| {
-            let mut index = IncrementalMlg::new();
-            for (tid, t) in kg.iter_triples() {
-                index.insert(t.subject, t.predicate, t.source, tid);
-            }
-            black_box(index)
-        })
-    });
-    group.bench_function("batch_rebuild_once", |b| {
-        b.iter(|| black_box(match_homologous(&kg)))
-    });
-    group.bench_function("incremental_single_insert", |b| {
-        let mut index = IncrementalMlg::from_graph(&kg);
-        let (tid, t) = kg.iter_triples().next().unwrap();
-        b.iter(|| black_box(index.insert(t.subject, t.predicate, t.source, tid)))
-    });
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = construction_benches, confidence_benches, incremental_benches
+    targets = construction_benches
 }
 criterion_main!(benches);

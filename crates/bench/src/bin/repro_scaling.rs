@@ -1,5 +1,6 @@
-//! Scaling study behind the paper's Q5 complexity claims: MLG
-//! construction is `O(n log n)`-ish in triples and per-query extraction
+//! Scaling study behind the paper's Q5 complexity claims: building the
+//! slot index and its homologous groups is `O(n log n)` in triples and
+//! per-query extraction
 //! through the homologous index is independent of graph size, while the
 //! unaggregated scan grows linearly — the mechanism that turns the
 //! Flights dataset from "NAN" to seconds in Table III.
@@ -10,27 +11,29 @@
 
 use multirag_bench::seed;
 use multirag_cluster::{cluster_closed_loop, HashRing, DEFAULT_VNODES};
-use multirag_core::{kg_schema, MklgpPipeline, MultiRagConfig, MultiSourceLineGraph};
+use multirag_core::{kg_schema, match_homologous_tiered, MklgpPipeline, MultiRagConfig};
 use multirag_datasets::movies::MoviesSpec;
 use multirag_datasets::spec::Scale;
 use multirag_eval::table::{fmt2, Table};
 use multirag_eval::timing::Stopwatch;
+use multirag_kg::TieredIndex;
 use multirag_llmsim::client::MockLlm;
 use multirag_serve::{
     build_workload, closed_loop, serve_sequential, CacheStack, IndexWriter, ServeConfig,
 };
+use std::sync::Arc;
 
 fn main() {
     let seed = seed();
     println!("Scaling study (seed = {seed})");
     let mut table = Table::new(
-        "MLG construction and per-query extraction vs graph size",
+        "Slot index + homologous matching and per-query wall vs graph size",
         &[
             "entities",
             "triples",
-            "mlg build/s",
-            "100 queries w/ MKA (wall s)",
-            "100 queries w/o MKA (wall s)",
+            "index+match/ms",
+            "w/ MKA (wall us/query)",
+            "w/o MKA (wall us/query)",
         ],
     );
     for entities in [100usize, 400, 1000, 2500] {
@@ -41,17 +44,18 @@ fn main() {
         .generate(seed);
 
         let watch = Stopwatch::start();
-        let mlg = MultiSourceLineGraph::build(&data.graph);
-        let build_s = watch.elapsed_s();
-        std::hint::black_box(mlg.stats());
+        let index = Arc::new(TieredIndex::build(&data.graph));
+        std::hint::black_box(match_homologous_tiered(&index));
+        let build_ms = watch.elapsed_s() * 1e3;
 
         let run = |config: MultiRagConfig| {
-            let mut pipeline = MklgpPipeline::new(&data.graph, config, seed);
+            let mut pipeline =
+                MklgpPipeline::new_with_index(&data.graph, config, seed, index.clone());
             let watch = Stopwatch::start();
             for q in &data.queries {
                 std::hint::black_box(pipeline.answer(q));
             }
-            watch.elapsed_s()
+            watch.elapsed_s() * 1e6 / data.queries.len() as f64
         };
         let with_mka = run(MultiRagConfig::default());
         let without_mka = run(MultiRagConfig::default().without_mka());
@@ -59,9 +63,9 @@ fn main() {
         table.row(vec![
             entities.to_string(),
             data.graph.triple_count().to_string(),
-            fmt2(build_s),
-            fmt2(with_mka),
-            fmt2(without_mka),
+            fmt2(build_ms),
+            format!("{with_mka:.1}"),
+            format!("{without_mka:.1}"),
         ]);
     }
     println!("{}", table.render());

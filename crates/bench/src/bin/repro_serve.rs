@@ -32,7 +32,7 @@ use multirag_datasets::movies::MoviesSpec;
 use multirag_datasets::Query;
 use multirag_eval::table::Table;
 use multirag_faults::FaultPlan;
-use multirag_kg::persist;
+use multirag_kg::{persist, SlotId};
 use multirag_obs::Observer;
 use multirag_serve::{
     build_workload, closed_loop_detail, feedback_tally, level_row, serve_concurrent,
@@ -42,11 +42,15 @@ use multirag_serve::{
 };
 
 fn summarize(snap: &EpochSnapshot) -> EpochSummary {
+    let index = &snap.tindex;
+    let isolated = (0..index.slot_count() as u32)
+        .filter(|&slot| index.claims(SlotId(slot)).len() == 1)
+        .count();
     EpochSummary {
         epoch: snap.epoch,
         triples: snap.graph.triple_count(),
-        groups: snap.index.group_count(),
-        isolated: snap.index.isolated_count(),
+        groups: index.slot_count() - isolated,
+        isolated,
         updates_applied: snap.updates_applied,
     }
 }

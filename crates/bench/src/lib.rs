@@ -20,8 +20,8 @@
 //! | `repro_cluster` | sharded serving: 1-node == N-node parity, merge tier, shard scaling (`results/cluster.json`) |
 //!
 //! Criterion microbenches (in `benches/`) cover module-level costs
-//! (Q5): MLG construction, homologous matching, MI confidence, BM25 /
-//! TF-IDF retrieval, the parsers and the end-to-end pipeline.
+//! (Q5): the line-graph oracle against scan and tiered homologous
+//! matching, BM25 / TF-IDF retrieval, the parsers and the end-to-end pipeline.
 //!
 //! Scale is controlled by `MULTIRAG_SCALE` (`small` | `bench` |
 //! `large`, default `bench`) and `MULTIRAG_SEED` (default 42) so CI can

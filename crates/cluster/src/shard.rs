@@ -69,25 +69,20 @@ pub struct Cluster {
     counters: ClusterCounters,
 }
 
-/// Every slot the snapshot's homologous index knows: grouped slots and
-/// isolated (single-assertion) slots alike, as canonical slot keys in
-/// sorted order.
+/// Every slot in the snapshot's tiered-index slot tier: grouped slots
+/// and isolated (single-assertion) slots alike, as canonical slot keys
+/// in sorted order.
 pub fn slot_universe(snapshot: &EpochSnapshot) -> BTreeSet<String> {
-    let mut slots = BTreeSet::new();
-    for group in &snapshot.sets.groups {
-        slots.insert(slot_key(
-            snapshot.graph.entity_name(group.entity),
-            snapshot.graph.relation_name(group.relation),
-        ));
-    }
-    for &tid in &snapshot.sets.isolated {
-        let triple = snapshot.graph.triple(tid);
-        slots.insert(slot_key(
-            snapshot.graph.entity_name(triple.subject),
-            snapshot.graph.relation_name(triple.predicate),
-        ));
-    }
-    slots
+    let index = &snapshot.tindex;
+    (0..index.slot_count() as u32)
+        .map(SlotId)
+        .map(|slot| {
+            slot_key(
+                snapshot.graph.entity_name(index.slot_entity(slot)),
+                snapshot.graph.relation_name(index.slot_relation(slot)),
+            )
+        })
+        .collect()
 }
 
 impl Cluster {

@@ -10,7 +10,11 @@
 //! Matching sorts triples by slot key — `O(n log n)` in the number of
 //! triples, as the paper claims.
 
-use multirag_kg::{EntityId, KnowledgeGraph, RelationId, SlotId, TieredIndex, TripleId};
+use crate::history::HistoryStore;
+use multirag_kg::{
+    EntityId, KnowledgeGraph, Object, RelationId, SlotId, SourceId, TieredIndex, TripleId,
+};
+use std::collections::BTreeMap;
 
 /// One homologous group: the triples of one multi-source slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,6 +149,76 @@ pub fn match_slot(kg: &KnowledgeGraph, entity: EntityId, relation: RelationId) -
         sets.isolated = members;
     }
     sets
+}
+
+/// MKA consistency feedback (§III-C: "enabling rapid consistency
+/// checks and conflict feedback for homologous data"): a few
+/// credibility-weighted consensus rounds over the homologous groups
+/// estimate each source's historical credibility — the `Pr^h(D)` that
+/// `Auth_hist` (Eq. 11) blends in — and record it into `history`.
+/// Without MKA there are no groups and this signal does not exist
+/// (part of the w/o-MKA F1 drop in Table III).
+pub fn mka_consensus(kg: &KnowledgeGraph, sets: &HomologousSets, history: &HistoryStore) {
+    let groups: Vec<Vec<(SourceId, String)>> = sets
+        .groups
+        .iter()
+        .map(|group| {
+            group
+                .triples
+                .iter()
+                .map(|&tid| {
+                    let t = kg.triple(tid);
+                    let key = match &t.object {
+                        Object::Literal(v) => v.standardized().canonical_key(),
+                        other => other.canonical_key(),
+                    };
+                    (t.source, key)
+                })
+                .collect()
+        })
+        .collect();
+    let mut cred: BTreeMap<SourceId, f64> = BTreeMap::new();
+    let mut final_tally: BTreeMap<SourceId, (usize, usize)> = BTreeMap::new();
+    for _round in 0..3 {
+        let mut tally: BTreeMap<SourceId, (usize, usize)> = BTreeMap::new();
+        for claims in &groups {
+            // Credibility-weighted support per value.
+            let mut weight: BTreeMap<&str, f64> = BTreeMap::new();
+            let mut total = 0.0;
+            for (source, key) in claims {
+                let w = cred.get(source).copied().unwrap_or(0.5);
+                *weight.entry(key.as_str()).or_insert(0.0) += w;
+                total += w;
+            }
+            let Some((best, max_w)) = weight.into_iter().max_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(b.0.cmp(a.0))
+            }) else {
+                continue;
+            };
+            // Only groups with a clear weighted consensus carry a
+            // trustworthy signal.
+            if max_w * 2.0 <= total {
+                continue;
+            }
+            for (source, key) in claims {
+                let entry = tally.entry(*source).or_insert((0, 0));
+                entry.1 += 1;
+                if key == best {
+                    entry.0 += 1;
+                }
+            }
+        }
+        for (source, (correct, total)) in &tally {
+            // Smoothed agreement rate.
+            cred.insert(*source, (*correct as f64 + 2.5) / (*total as f64 + 5.0));
+        }
+        final_tally = tally;
+    }
+    for (source, (correct, total)) in final_tally {
+        history.record(source, correct, total);
+    }
 }
 
 #[cfg(test)]

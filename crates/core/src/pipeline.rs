@@ -3,10 +3,11 @@
 //! Given a user query, the pipeline:
 //!
 //! 1. generates a logic form via the (simulated) LLM,
-//! 2. extracts the query-relevant documents/claims — through the MLG's
-//!    slot index when MKA is enabled, or by scanning the entity's whole
-//!    neighbourhood when it is not (the `w/o MKA` ablation, which both
-//!    slows extraction dramatically and pollutes the context),
+//! 2. extracts the query-relevant documents/claims — through the
+//!    homologous slot index when MKA is enabled, or by scanning the
+//!    entity's whole neighbourhood when it is not (the `w/o MKA`
+//!    ablation, which both slows extraction dramatically and pollutes
+//!    the context),
 //! 3. runs MCC (Algorithm 1) to obtain the trusted node set `SVs` and
 //!    the isolated/low-confidence set `LVs`,
 //! 4. generates a trustworthy answer by prompting the LLM with the
@@ -17,10 +18,11 @@
 use crate::confidence::{self, GraphConfidence, KernelCounters, MccOutcome, NodeConfidence};
 use crate::config::MultiRagConfig;
 use crate::history::HistoryStore;
-use crate::homologous::HomologousGroup;
+use crate::homologous::{
+    match_homologous, match_homologous_tiered, mka_consensus, HomologousGroup, HomologousSets,
+};
 use crate::loopctl::{grade_supported, LadderStep, LoopConfig};
 use crate::memo::{profile_fingerprint, ConfidenceMemo, SlotVerdict};
-use crate::mlg::MultiSourceLineGraph;
 use multirag_datasets::Query;
 use multirag_faults::{ms_to_us, FaultPlan, RetryPolicy};
 use multirag_ingest::{fuse_sources_with, Claim, IngestMode, RawSource};
@@ -160,7 +162,9 @@ pub struct PipelineAnswer {
 #[derive(Clone)]
 pub struct MklgpPipeline<'g> {
     kg: &'g KnowledgeGraph,
-    mlg: Option<MultiSourceLineGraph>,
+    /// Homologous groups and isolated points; `None` is the w/o-MKA
+    /// ablation.
+    sets: Option<HomologousSets>,
     llm: MockLlm,
     history: HistoryStore,
     config: MultiRagConfig,
@@ -291,14 +295,14 @@ pub fn kg_schema(kg: &KnowledgeGraph) -> Schema {
 
 impl<'g> MklgpPipeline<'g> {
     /// Builds the pipeline: schema from the graph's relations and
-    /// entities, the MLG (unless ablated), and a fresh history store
-    /// seeded by MKA consensus feedback.
+    /// entities, the homologous sets (unless ablated), and a fresh
+    /// history store seeded by MKA consensus feedback.
     pub fn new(kg: &'g KnowledgeGraph, config: MultiRagConfig, seed: u64) -> Self {
         Self::build(kg, config, seed, None, None)
     }
 
     /// Builds the pipeline around a prebuilt [`TieredIndex`]: homologous
-    /// matching runs by tier descent during MLG construction, and slot
+    /// matching runs by tier descent over the slot tier, and slot
     /// extraction probes the index instead of the graph's slot map.
     /// Answers are bit-identical to [`MklgpPipeline::new`]; only the
     /// candidate-selection cost changes (`repro_index` gates both).
@@ -350,9 +354,9 @@ impl<'g> MklgpPipeline<'g> {
     ) -> Self {
         let llm = MockLlm::new(kg_schema(kg), seed);
         let mlg_started = WallTimer::start();
-        let mlg = config.enable_mka.then(|| match index.as_deref() {
-            Some(tindex) => MultiSourceLineGraph::build_with_index(kg, tindex),
-            None => MultiSourceLineGraph::build(kg),
+        let sets = config.enable_mka.then(|| match index.as_deref() {
+            Some(tindex) => match_homologous_tiered(tindex),
+            None => match_homologous(kg),
         });
         let max_degree = kg
             .entity_ids()
@@ -362,99 +366,25 @@ impl<'g> MklgpPipeline<'g> {
         let seed_consensus = supplied_history.is_none();
         let history =
             supplied_history.unwrap_or_else(|| HistoryStore::new(config.history_pseudo, 0.5));
-        // MKA consistency feedback: the homologous line graph makes
-        // cross-source agreement a local property (§III-C: "enabling
-        // rapid consistency checks and conflict feedback for homologous
-        // data"). A few credibility-weighted consensus rounds over the
-        // aggregated groups estimate each source's historical
-        // credibility — the `Pr^h(D)` that `Auth_hist` (Eq. 11) blends
-        // in. Without MKA this signal does not exist (part of the
-        // w/o-MKA F1 drop in Table III). A caller-supplied history is
-        // already settled, so the rounds are skipped outright.
-        if let Some(mlg) = mlg.as_ref().filter(|_| seed_consensus) {
-            let groups: Vec<Vec<(SourceId, String)>> = mlg
-                .sets()
-                .groups
-                .iter()
-                .map(|group| {
-                    group
-                        .triples
-                        .iter()
-                        .map(|&tid| {
-                            let t = kg.triple(tid);
-                            let key = match &t.object {
-                                Object::Literal(v) => v.standardized().canonical_key(),
-                                other => other.canonical_key(),
-                            };
-                            (t.source, key)
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut cred: FxHashMap<SourceId, f64> = FxHashMap::default();
-            let mut final_tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
-            for _round in 0..3 {
-                let mut tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
-                for claims in &groups {
-                    if claims.len() < 2 {
-                        continue;
-                    }
-                    // Credibility-weighted support per value.
-                    let mut weight: FxHashMap<&str, f64> = FxHashMap::default();
-                    let mut total = 0.0;
-                    for (source, key) in claims {
-                        let w = cred.get(source).copied().unwrap_or(0.5);
-                        *weight.entry(key.as_str()).or_insert(0.0) += w;
-                        total += w;
-                    }
-                    let Some((best, &max_w)) = weight
-                        .iter()
-                        .max_by(|a, b| {
-                            a.1.partial_cmp(b.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(b.0.cmp(a.0))
-                        })
-                        .map(|(k, w)| (*k, w))
-                    else {
-                        continue;
-                    };
-                    // Only groups with a clear weighted consensus carry
-                    // a trustworthy signal.
-                    if max_w * 2.0 <= total {
-                        continue;
-                    }
-                    for (source, key) in claims {
-                        let entry = tally.entry(*source).or_insert((0, 0));
-                        entry.1 += 1;
-                        if key == best {
-                            entry.0 += 1;
-                        }
-                    }
-                }
-                for (source, (correct, total)) in &tally {
-                    // Smoothed agreement rate.
-                    cred.insert(*source, (*correct as f64 + 2.5) / (*total as f64 + 5.0));
-                }
-                final_tally = tally;
-            }
-            for (source, (correct, total)) in final_tally {
-                history.record(source, correct, total);
-            }
+        // A caller-supplied history is already settled, so the MKA
+        // consensus rounds are skipped outright.
+        if let Some(sets) = sets.as_ref().filter(|_| seed_consensus) {
+            mka_consensus(kg, sets, &history);
         }
-        // `mlg_build` covers line-graph construction *and* the MKA
+        // `mlg_build` covers homologous matching *and* the MKA
         // consistency-feedback rounds above — the full cost of having
         // aggregation (zero in the w/o-MKA ablation).
         let mlg_cost = StageCost {
             wall_s: mlg_started.elapsed_s(),
             sim_ms: 0.0,
         };
-        let mlg_groups = mlg
+        let mlg_groups = sets
             .as_ref()
-            .map(|m| m.sets().groups.len() + m.sets().isolated.len())
+            .map(|s| s.groups.len() + s.isolated.len())
             .unwrap_or(0);
         Self {
             kg,
-            mlg,
+            sets,
             llm,
             history,
             config,
@@ -600,23 +530,18 @@ impl<'g> MklgpPipeline<'g> {
         self.llm.reset_usage();
     }
 
-    /// The MLG, when MKA is enabled.
-    pub fn mlg(&self) -> Option<&MultiSourceLineGraph> {
-        self.mlg.as_ref()
-    }
-
     /// The history store (shared source credibility).
     pub fn history(&self) -> &HistoryStore {
         &self.history
     }
 
-    /// The homologous groups of the MLG slot index, in `(entity,
-    /// relation)` order. Empty when MKA is ablated — there is no
-    /// aggregated index to fan out over.
+    /// The homologous groups, in `(entity, relation)` order. Empty
+    /// when MKA is ablated — there is no aggregated index to fan out
+    /// over.
     pub fn slot_groups(&self) -> &[HomologousGroup] {
-        self.mlg
+        self.sets
             .as_ref()
-            .map(|m| m.sets().groups.as_slice())
+            .map(|s| s.groups.as_slice())
             .unwrap_or(&[])
     }
 
@@ -1500,7 +1425,7 @@ impl<'g> MklgpPipeline<'g> {
         entity: EntityId,
         relation: RelationId,
     ) -> (Vec<TripleId>, Vec<TripleId>, usize) {
-        if self.mlg.is_some() {
+        if self.sets.is_some() {
             // MKA: O(slot) probe — tier descent through the prebuilt
             // index when one is attached (entity lookup → slot bitset
             // → claim postings), otherwise the graph's slot map. Both
@@ -1666,8 +1591,8 @@ fn sets_from_extraction(
     entity: EntityId,
     relation: RelationId,
     extracted: &[TripleId],
-) -> crate::homologous::HomologousSets {
-    let mut sets = crate::homologous::HomologousSets::default();
+) -> HomologousSets {
+    let mut sets = HomologousSets::default();
     if extracted.len() >= 2 {
         let mut triples = extracted.to_vec();
         triples.sort_unstable();

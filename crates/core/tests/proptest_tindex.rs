@@ -1,7 +1,7 @@
 //! Property-based tests for index-backed retrieval: tiered homologous
-//! matching against the sorted-scan oracle, and worker-count
-//! invariance of concurrent tier descents over a shared index, on
-//! random multi-source graphs.
+//! matching against the sorted-scan oracle, the Fig. 4 clique property
+//! of its groups, and worker-count invariance of concurrent tier
+//! descents over a shared index, on random multi-source graphs.
 
 use multirag_core::homologous::{match_homologous, match_homologous_tiered};
 use multirag_kg::{
@@ -85,6 +85,29 @@ proptest! {
         prop_assert_eq!(tiered.groups, oracle.groups);
         prop_assert_eq!(tiered.isolated, oracle.isolated);
         prop_assert_eq!(tiered.coverage(), kg.triple_count());
+    }
+
+    /// Fig. 4: the claims of every homologous group are pairwise
+    /// adjacent in the line graph — each member's tier-descent
+    /// neighborhood holds every other member, because they all share
+    /// the slot's subject.
+    #[test]
+    fn tiered_groups_are_line_graph_cliques(spec in graph_spec()) {
+        let kg = build(&spec);
+        let index = TieredIndex::build(&kg);
+        let mut counters = TindexCounters::default();
+        for group in match_homologous_tiered(&index).groups {
+            for &claim in &group.triples {
+                let neighbors = index.neighbors_of(claim, &mut counters);
+                for &other in group.triples.iter().filter(|&&t| t != claim) {
+                    prop_assert!(
+                        neighbors.binary_search(&other).is_ok(),
+                        "{:?} and {:?} of slot ({:?}, {:?}) are not adjacent",
+                        claim, other, group.entity, group.relation
+                    );
+                }
+            }
+        }
     }
 
     /// Concurrent descents over one shared index are worker-count

@@ -27,7 +27,7 @@ pub struct MethodResult {
     pub recall: f64,
     /// Query-time seconds (measured compute).
     pub qt: TimeReport,
-    /// Preprocess-time seconds (graph/MLG/fusion build).
+    /// Preprocess-time seconds (graph/index/homologous/fusion build).
     pub pt: TimeReport,
     /// Fraction of queries where the simulated generation hallucinated.
     pub hallucination_rate: f64,
@@ -88,8 +88,8 @@ pub fn run_fusion_method(
     }
 }
 
-/// Runs the MKLGP pipeline over a dataset. `PT` captures MLG
-/// construction (wall) plus the confidence-prompting share of simulated
+/// Runs the MKLGP pipeline over a dataset. `PT` captures index and
+/// homologous-set construction (wall) plus the confidence-prompting share of simulated
 /// LLM time; `QT` the query loop.
 pub fn run_multirag(
     data: &MultiSourceDataset,

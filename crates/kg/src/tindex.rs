@@ -535,8 +535,8 @@ impl TieredIndex {
 
     /// Line-graph neighborhood by tier descent: claims sharing an
     /// endpoint with `claim` (ascending, excluding `claim` itself) —
-    /// the same adjacency [`crate::LineGraph`] materializes globally,
-    /// resolved from the per-entity touching spans instead.
+    /// the Def. 2 adjacency, resolved from the per-entity touching
+    /// spans instead of a materialized line graph.
     pub fn neighbors_of(&self, claim: TripleId, counters: &mut TindexCounters) -> Vec<TripleId> {
         counters.tier_descents += 1;
         let subject_span = match self.subjects.get(claim.index()) {

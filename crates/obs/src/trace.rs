@@ -31,7 +31,7 @@ pub enum Stage {
     /// Raw bytes → fused claims.
     #[default]
     Ingest,
-    /// Multi-source line graph construction.
+    /// MKA aggregation: homologous matching plus the consensus rounds.
     MlgBuild,
     /// Logic form + extraction + homologous grouping.
     HomologousGroup,

@@ -3,28 +3,28 @@
 //! The serving subsystem separates the *mutable* world (a single
 //! [`IndexWriter`] applying streamed triple updates and folding in
 //! serving feedback) from the *immutable* world queries actually read
-//! (an [`EpochSnapshot`] bundling the knowledge graph, the streamed
-//! homologous index, its materialized sets and a frozen credibility
-//! store). Publishing swaps one `Arc` behind a short write lock;
-//! readers clone the `Arc` and keep answering from the old epoch until
-//! they next call [`EpochIndex::load`] — they never block on the
-//! writer, and an in-flight query never observes a half-applied batch.
+//! (an [`EpochSnapshot`] bundling the knowledge graph, its tiered
+//! slot index and a frozen credibility store). Publishing swaps one
+//! `Arc` behind a short write lock; readers clone the `Arc` and keep
+//! answering from the old epoch until they next call
+//! [`EpochIndex::load`] — they never block on the writer, and an
+//! in-flight query never observes a half-applied batch.
 //!
 //! The epoch protocol (DESIGN.md §5.8):
 //!
 //! 1. between publishes the writer applies [`TripleUpdate`]s to its
-//!    private graph and [`IncrementalMlg`], and absorbs per-source
-//!    feedback tallies reported by the engine;
+//!    private graph (whose slot postings are the only streamed index),
+//!    and absorbs per-source feedback tallies reported by the engine;
 //! 2. `publish` folds the accumulated feedback into the (thawed)
 //!    credibility store in sorted source order — deterministic no
 //!    matter how the serving threads interleaved — then freezes a clone
-//!    of it into the new snapshot;
+//!    of it into the new snapshot, next to a clone of the graph and a
+//!    [`TieredIndex`] built over it;
 //! 3. the serving layer clears the epoch-scoped caches (result cache,
 //!    MCC memo) on swap; the content-addressed LLM response cache
 //!    survives because its keys hash every operand.
 
-use multirag_core::homologous::HomologousSets;
-use multirag_core::{HistoryStore, IncrementalMlg, MklgpPipeline, MultiRagConfig};
+use multirag_core::{match_homologous, mka_consensus, HistoryStore, MklgpPipeline, MultiRagConfig};
 use multirag_kg::{persist, FxHashMap, KnowledgeGraph, SourceId, TieredIndex, Value};
 use multirag_obs::MetricsRegistry;
 use parking_lot::{Mutex, RwLock};
@@ -54,11 +54,6 @@ pub struct EpochSnapshot {
     pub epoch: u64,
     /// The knowledge graph as of this epoch.
     pub graph: KnowledgeGraph,
-    /// The streamed homologous index as of this epoch.
-    pub index: IncrementalMlg,
-    /// Materialized homologous sets (what the batch matcher would
-    /// produce over [`EpochSnapshot::graph`]).
-    pub sets: HomologousSets,
     /// Frozen source-credibility store: `record` is a no-op, so every
     /// answer in this epoch is a pure function of `(epoch, query)`.
     pub history: HistoryStore,
@@ -78,11 +73,11 @@ impl EpochSnapshot {
     /// Builds a pipeline bound to this snapshot, with the epoch's
     /// frozen credibility store installed. Callers layer caches, fault
     /// plans and retry policies on top. Uses
-    /// [`MklgpPipeline::new_with_history`] so the MKA consensus rounds
-    /// — whose output the frozen store would replace anyway — are never
-    /// computed; a cluster spinning up one pipeline per (node, worker)
-    /// pair pays only for line-graph construction — and descends the
-    /// epoch's shared [`TieredIndex`] instead of re-deriving slot maps.
+    /// [`MklgpPipeline::new_with_history_and_index`], so the MKA
+    /// consensus rounds — whose output the frozen store would replace
+    /// anyway — are never computed, and the homologous groups come from
+    /// one pass over the epoch's shared [`TieredIndex`] slot tier, which
+    /// every worker also descends for slot extraction.
     pub fn pipeline(&self) -> MklgpPipeline<'_> {
         MklgpPipeline::new_with_history_and_index(
             &self.graph,
@@ -139,12 +134,10 @@ impl EpochIndex {
     }
 }
 
-/// The single writer: owns the evolving graph, the streamed homologous
-/// index, the thawed credibility store, and the feedback accumulated
-/// since the last publish.
+/// The single writer: owns the evolving graph, the thawed credibility
+/// store, and the feedback accumulated since the last publish.
 pub struct IndexWriter {
     graph: KnowledgeGraph,
-    index: IncrementalMlg,
     history: HistoryStore,
     sources: FxHashMap<String, SourceId>,
     feedback: BTreeMap<SourceId, (usize, usize)>,
@@ -157,11 +150,13 @@ pub struct IndexWriter {
 
 impl IndexWriter {
     /// Wraps an existing graph. The initial credibility store is the
-    /// MKA consensus estimate [`MklgpPipeline::new`] computes — the
-    /// same warm prior the batch pipeline starts from.
+    /// MKA consensus estimate [`MklgpPipeline::new`] starts from (a
+    /// fresh store when MKA is ablated).
     pub fn new(graph: KnowledgeGraph, config: MultiRagConfig, seed: u64) -> Self {
-        let history = MklgpPipeline::new(&graph, config, seed).history().clone();
-        let index = IncrementalMlg::from_graph(&graph);
+        let history = HistoryStore::new(config.history_pseudo, 0.5);
+        if config.enable_mka {
+            mka_consensus(&graph, &match_homologous(&graph), &history);
+        }
         let sources: FxHashMap<String, SourceId> = (0..graph.source_count())
             .map(|i| {
                 let id = SourceId(i as u32);
@@ -176,7 +171,6 @@ impl IndexWriter {
         };
         Self {
             graph,
-            index,
             history,
             sources,
             feedback: BTreeMap::new(),
@@ -214,8 +208,9 @@ impl IndexWriter {
         self.epoch
     }
 
-    /// Applies one streamed triple, keeping the homologous index in
-    /// sync. Returns the slot's updated homologous cardinality.
+    /// Applies one streamed triple. Returns the slot's updated
+    /// homologous cardinality: its claim count in the graph's slot
+    /// postings (1 = isolated, ≥2 = homologous group).
     pub fn apply(&mut self, update: &TripleUpdate) -> usize {
         let source = *self
             .sources
@@ -226,11 +221,10 @@ impl IndexWriter {
             });
         let entity = self.graph.add_entity(&update.entity, &self.domain);
         let relation = self.graph.add_relation(&update.relation);
-        let tid =
-            self.graph
-                .add_triple(entity, relation, update.value.clone(), source, update.chunk);
+        self.graph
+            .add_triple(entity, relation, update.value.clone(), source, update.chunk);
         self.updates_since_publish += 1;
-        self.index.insert(entity, relation, source, tid)
+        self.graph.slot_triples(entity, relation).len()
     }
 
     /// Absorbs per-source `(correct, total)` feedback tallies from a
@@ -259,8 +253,6 @@ impl IndexWriter {
         let snapshot = EpochSnapshot {
             epoch: self.epoch,
             graph: self.graph.clone(),
-            index: self.index.clone(),
-            sets: self.index.to_sets(),
             history,
             config: self.config,
             seed: self.seed,
@@ -282,6 +274,7 @@ impl IndexWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multirag_core::match_homologous_tiered;
     use multirag_datasets::movies::MoviesSpec;
 
     fn writer() -> IndexWriter {
@@ -321,7 +314,7 @@ mod tests {
     fn applied_updates_land_in_graph_and_index() {
         let mut writer = writer();
         let before = writer.graph().triple_count();
-        let groups_before = writer.index.group_count();
+        let groups_before = match_homologous(writer.graph()).groups.len();
         let slot_entity = writer
             .graph()
             .entity_name(multirag_kg::EntityId(0))
@@ -343,14 +336,14 @@ mod tests {
         });
         assert_eq!(cardinality, 2, "second source makes it homologous");
         assert_eq!(writer.graph().triple_count(), before + 2);
-        assert_eq!(writer.index.group_count(), groups_before + 1);
         let snap = writer.publish();
         assert_eq!(snap.updates_applied, 2);
-        // The snapshot index agrees with a from-scratch rebuild.
-        let rebuilt = IncrementalMlg::from_graph(&snap.graph);
-        assert_eq!(snap.index.group_count(), rebuilt.group_count());
-        assert_eq!(snap.index.isolated_count(), rebuilt.isolated_count());
-        assert_eq!(snap.sets.groups.len(), rebuilt.to_sets().groups.len());
+        // The snapshot's slot tier agrees with a from-scratch scan.
+        let tiered = match_homologous_tiered(&snap.tindex);
+        let scanned = match_homologous(&snap.graph);
+        assert_eq!(tiered.groups.len(), groups_before + 1);
+        assert_eq!(tiered.groups, scanned.groups);
+        assert_eq!(tiered.isolated, scanned.isolated);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! cargo run --example quickstart
 //! ```
 
-use multirag::core::{MklgpPipeline, MultiRagConfig};
+use multirag::core::{match_homologous_tiered, MklgpPipeline, MultiRagConfig};
 use multirag::datasets::movies::MoviesSpec;
+use multirag::kg::TieredIndex;
+use std::sync::Arc;
 
 fn main() {
     // 1. A synthetic "Movies" benchmark: 13 sources across JSON / KG /
@@ -21,17 +23,19 @@ fn main() {
         dataset.queries.len(),
     );
 
-    // 2. The MKLGP pipeline: multi-source line graph + multi-level
-    //    confidence computing, with the paper's default thresholds.
+    // 2. The MKLGP pipeline over a tiered entity → slot → claim index:
+    //    homologous slot groups + multi-level confidence computing, with
+    //    the paper's default thresholds.
+    let index = Arc::new(TieredIndex::build(&dataset.graph));
+    let sets = match_homologous_tiered(&index);
+    println!(
+        "MKA: {} homologous groups, {} isolated; {:?}",
+        sets.groups.len(),
+        sets.isolated.len(),
+        index.stats()
+    );
     let config = MultiRagConfig::default();
-    let mut pipeline = MklgpPipeline::new(&dataset.graph, config, 42);
-    if let Some(mlg) = pipeline.mlg() {
-        let stats = mlg.stats();
-        println!(
-            "MLG: {} nodes, {} edges, {} homologous groups, {} isolated",
-            stats.nodes, stats.edges, stats.groups, stats.isolated
-        );
-    }
+    let mut pipeline = MklgpPipeline::new_with_index(&dataset.graph, config, 42, index);
 
     // 3. Answer the benchmark queries, reporting confidence diagnostics.
     let mut correct = 0usize;
