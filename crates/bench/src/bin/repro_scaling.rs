@@ -1,9 +1,9 @@
 //! Scaling study behind the paper's Q5 complexity claims: building the
-//! slot index and its homologous groups is `O(n log n)` in triples and
-//! per-query extraction
-//! through the homologous index is independent of graph size, while the
-//! unaggregated scan grows linearly — the mechanism that turns the
-//! Flights dataset from "NAN" to seconds in Table III.
+//! slot index and its homologous groups is `O(n log n)` in triples,
+//! and per-query extraction through the homologous index is
+//! independent of graph size, while the unaggregated scan grows
+//! linearly — the mechanism that turns the Flights dataset from "NAN"
+//! to seconds in Table III.
 //!
 //! ```sh
 //! cargo run --release -p multirag-bench --bin repro_scaling
