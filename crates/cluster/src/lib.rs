@@ -13,9 +13,9 @@
 //!   pipeline uses, fan-out to owning shards, failover under node
 //!   outages, and the cross-shard merge path over
 //!   [`multirag_core::reduce_shard_answers`].
-//! * [`sim`] — the integer-µs discrete-event fleet simulator:
-//!   per-node queues and service clocks, latencies accumulated in
-//!   mergeable [`LogHistogram`](multirag_obs::LogHistogram)s.
+//! * [`sim`] — fleet operating points from the serve crate's one
+//!   integer-µs simulator run over N per-node pools, latencies folded
+//!   into mergeable [`LogHistogram`](multirag_obs::LogHistogram)s.
 //! * [`report`] — byte-stable JSON fragments for
 //!   `results/cluster.json`.
 //!

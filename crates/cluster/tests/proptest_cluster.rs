@@ -11,10 +11,16 @@
 //!    verdict reduction is a pure function of the verdict *set*.
 //! 3. **Ring consistency**: `owner` is `candidates[0]`, candidates are
 //!    distinct, and ownership is stable across rebuilds.
+//! 4. **One simulator**: single-node serving is the one-shard case of
+//!    the fleet loop — same counts, same clock, same latencies.
+//! 5. **Sim-clock saturation**: service times near `u64::MAX` pin the
+//!    clock instead of overflowing it, and every request is accounted.
 
-use multirag_cluster::{slot_key, HashRing, DEFAULT_VNODES};
+use multirag_cluster::{cluster_closed_loop, slot_key, HashRing, DEFAULT_VNODES};
 use multirag_core::{reduce_shard_answers, AbstainReason, PipelineAnswer};
+use multirag_faults::FaultPlan;
 use multirag_obs::LogHistogram;
+use multirag_serve::{closed_loop, closed_loop_timeline};
 use proptest::prelude::*;
 
 fn answer(confidence: f64, abstained: bool) -> PipelineAnswer {
@@ -113,5 +119,60 @@ proptest! {
             sorted.dedup();
             prop_assert_eq!(sorted.len(), cands.len());
         }
+    }
+
+    /// `closed_loop_timeline` and `cluster_closed_loop` on one shard
+    /// with every candidate list `[0]` agree on every count, on the
+    /// clock, and on the latency of every served request.
+    #[test]
+    fn single_node_loop_is_the_one_shard_fleet_loop(
+        service in proptest::collection::vec(0u64..20_000, 0..120),
+        concurrency in 1usize..=16,
+        workers in 1usize..=4,
+        queue_depth in 0usize..=8,
+    ) {
+        let (point, timings) = closed_loop_timeline(&service, concurrency, workers, queue_depth);
+        let candidates = vec![vec![0u32]; service.len()];
+        let fleet = cluster_closed_loop(
+            &service, &candidates, service.len(), 1, concurrency, workers, queue_depth, None,
+        );
+        prop_assert_eq!(point.offered, fleet.point.offered);
+        prop_assert_eq!(point.completed, fleet.point.completed);
+        prop_assert_eq!(point.shed, fleet.point.shed);
+        prop_assert_eq!(point.throughput_qps.to_bits(), fleet.point.throughput_qps.to_bits());
+        prop_assert_eq!(point.sim_total_ms.to_bits(), fleet.point.sim_total_ms.to_bits());
+        let mut served = LogHistogram::new();
+        for t in timings.iter().filter(|t| t.served) {
+            served.record(t.latency_us());
+        }
+        prop_assert_eq!(&fleet.per_shard, &vec![served]);
+    }
+
+    /// Service times near `u64::MAX` neither panic nor lose requests,
+    /// at one shard and at N shards with outage windows.
+    #[test]
+    fn sim_clock_saturates_near_u64_max(
+        service in proptest::collection::vec(
+            prop_oneof![u64::MAX - 1_000..=u64::MAX, 0u64..1_000],
+            1..40,
+        ),
+        shards in 2u32..=4,
+        concurrency in 1usize..=8,
+        workers in 1usize..=3,
+        queue_depth in 0usize..=4,
+    ) {
+        let point = closed_loop(&service, concurrency, workers, queue_depth);
+        prop_assert_eq!(point.completed + point.shed, point.offered);
+        let candidates: Vec<Vec<u32>> = (0..service.len() as u32)
+            .map(|i| vec![i % shards, (i + 1) % shards])
+            .collect();
+        let plan = FaultPlan::node_outages(7, 0.3);
+        let total = service.len() * 3;
+        let fleet = cluster_closed_loop(
+            &service, &candidates, total, shards, concurrency, workers, queue_depth,
+            Some((&plan, u64::MAX / 4)),
+        );
+        prop_assert_eq!(fleet.point.offered, total);
+        prop_assert_eq!(fleet.point.completed + fleet.point.shed, total);
     }
 }

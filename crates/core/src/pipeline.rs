@@ -315,26 +315,12 @@ impl<'g> MklgpPipeline<'g> {
         Self::build(kg, config, seed, None, Some(index))
     }
 
-    /// Builds the pipeline around an externally supplied history store,
-    /// skipping the MKA consensus-feedback rounds entirely. The serving
-    /// layer holds a frozen per-epoch credibility snapshot; rebuilding
-    /// consensus in [`MklgpPipeline::new`] only to discard it via
-    /// [`MklgpPipeline::with_history`] wastes the dominant share of
-    /// per-worker pipeline construction, which matters once a cluster
-    /// spins up one pipeline per (node, worker) pair.
-    pub fn new_with_history(
-        kg: &'g KnowledgeGraph,
-        config: MultiRagConfig,
-        seed: u64,
-        history: HistoryStore,
-    ) -> Self {
-        Self::build(kg, config, seed, Some(history), None)
-    }
-
-    /// [`MklgpPipeline::new_with_history`] plus a prebuilt
-    /// [`TieredIndex`] — the epoch-serving constructor: the snapshot
+    /// Builds the pipeline around an externally supplied history store
+    /// and a prebuilt [`TieredIndex`] — the epoch-serving constructor.
+    /// It skips the MKA consensus-feedback rounds entirely: the snapshot
     /// carries both the frozen credibility store and the index, so
-    /// per-worker pipeline construction pays for neither.
+    /// per-worker pipeline construction pays for neither, which matters
+    /// once a cluster spins up one pipeline per (node, worker) pair.
     pub fn new_with_history_and_index(
         kg: &'g KnowledgeGraph,
         config: MultiRagConfig,
@@ -451,17 +437,6 @@ impl<'g> MklgpPipeline<'g> {
     /// Overrides the retry policy the LLM applies under faults.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.llm = self.llm.with_retry_policy(retry);
-        self
-    }
-
-    /// Replaces the history store — the serving layer installs the
-    /// epoch's (frozen) credibility snapshot so every worker clone
-    /// answers from the same `Auth_hist` state, instead of the
-    /// consensus-seeded store [`MklgpPipeline::new`] builds. Call
-    /// before [`MklgpPipeline::with_observer`] so metrics attach to
-    /// the store that will actually be used.
-    pub fn with_history(mut self, history: HistoryStore) -> Self {
-        self.history = history;
         self
     }
 

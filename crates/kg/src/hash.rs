@@ -86,11 +86,14 @@ impl Hasher for FxHasher {
     }
 }
 
+/// `BuildHasher` for [`FxHasher`].
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
 /// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// Hash a single `u64` value with the Fx construction.
 ///

@@ -120,9 +120,10 @@ impl Interner {
 /// A canonical-key interner for claim values.
 ///
 /// The confidence machinery compares claims by their
-/// [`Value::canonical_key`] equivalence class. Building that `String`
-/// once per *comparison* dominates the MCC hot path, so this wrapper
-/// interns keys once and hands out [`Symbol`]s: symbol equality is
+/// [`Value::canonical_key`](crate::Value::canonical_key) equivalence
+/// class. Building that `String` once per *comparison* dominates the
+/// MCC hot path, so this wrapper interns keys once and hands out
+/// [`Symbol`]s: symbol equality is
 /// exactly canonical-key equality for symbols from the same
 /// `KeyInterner`. [`KeyInterner::for_graph`] additionally precomputes
 /// the key of every triple's **standardized** object value, so per-slot
@@ -148,9 +149,9 @@ impl KeyInterner {
     }
 
     /// Builds the interner for a graph, precomputing the canonical key
-    /// of every triple's standardized object value ([`Value::Str`] of
-    /// the entity name for entity objects — the same form the
-    /// confidence layer compares).
+    /// of every triple's standardized object value
+    /// ([`Value::Str`](crate::Value::Str) of the entity name for entity
+    /// objects — the same form the confidence layer compares).
     pub fn for_graph(kg: &crate::graph::KnowledgeGraph) -> Self {
         let mut this = Self {
             keys: Interner::with_capacity(kg.triple_count() / 2 + 1),

@@ -42,7 +42,7 @@ pub mod triple;
 pub mod value;
 
 pub use graph::{GraphStats, KnowledgeGraph, TripleId};
-pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Interner, KeyInterner, Symbol};
 pub use linegraph::{LineGraph, LineGraphStats};
 pub use tindex::{Bitset, SlotId, TieredIndex, TindexCounters, TindexStats};

@@ -9,6 +9,8 @@
 //! * [`metrics`] — a lightweight registry of counters, gauges and
 //!   fixed-bucket histograms with deterministic snapshot ordering and
 //!   JSON + Prometheus-text exposition.
+//! * [`cache`] — [`MeteredCache`], the one hit/miss-counted map every
+//!   serving cache level is an instance of.
 //! * [`trace`] — the span taxonomy (`ingest`, `mlg_build`,
 //!   `homologous_group`, `graph_confidence`, `node_confidence`,
 //!   `generation`) and the per-query [`QueryTrace`] export, serialized
@@ -25,6 +27,7 @@
 //! the workspace (no internal dependencies), so `llmsim`, `ingest`,
 //! `core` and the harness crates can all report into it.
 
+pub mod cache;
 pub mod json;
 pub mod metrics;
 pub mod observer;
@@ -32,6 +35,7 @@ pub mod slo;
 pub mod trace;
 pub mod wallclock;
 
+pub use cache::MeteredCache;
 pub use metrics::{
     labeled, shard_series, window_series, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };

@@ -6,6 +6,9 @@
 //! | L2 MCC memo | claim-profile fingerprint | no — cleared |
 //! | L3 LLM response cache | kind + seed + every call operand | **yes** |
 //!
+//! Each level is a [`MeteredCache`] under its own value type and its
+//! own pair of hit/miss counter names.
+//!
 //! L1 short-circuits the whole pipeline for byte-identical repeats. L2
 //! ([`multirag_core::ConfidenceMemo`]) replays an MCC verdict for
 //! paraphrases that resolve to the same slot; it is keyed by
@@ -21,13 +24,10 @@
 
 use multirag_core::{ConfidenceMemo, PipelineAnswer};
 use multirag_datasets::Query;
-use multirag_kg::{FxHashMap, FxHasher};
+use multirag_kg::{FxBuildHasher, FxHasher};
 use multirag_llmsim::LlmResponseCache;
-use multirag_obs::MetricsRegistry;
-use parking_lot::Mutex;
+use multirag_obs::{MeteredCache, MetricsRegistry};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Exact-match cache key: the query's stable slot key plus its surface
 /// text, so a paraphrase (same slot, different wording) misses L1 and
@@ -39,81 +39,8 @@ pub fn result_key(query: &Query) -> u64 {
     hasher.finish()
 }
 
-#[derive(Debug, Default)]
-struct ResultInner {
-    entries: FxHashMap<u64, PipelineAnswer>,
-    metrics: Option<MetricsRegistry>,
-}
-
-/// L1: exact-match query-result cache. Cheap to clone — all clones
-/// share one store and one set of counters.
-#[derive(Debug, Clone, Default)]
-pub struct ResultCache {
-    inner: Arc<Mutex<ResultInner>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-}
-
-impl ResultCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a metrics registry: lookups bump
-    /// `serve_result_cache_hits_total` / `serve_result_cache_misses_total`.
-    pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        self.inner.lock().metrics = Some(metrics);
-    }
-
-    /// Looks up a cached answer, counting the hit or miss.
-    pub fn get(&self, key: u64) -> Option<PipelineAnswer> {
-        let inner = self.inner.lock();
-        let found = inner.entries.get(&key).cloned();
-        match (&found, &inner.metrics) {
-            (Some(_), Some(m)) => m.inc("serve_result_cache_hits_total", 1),
-            (None, Some(m)) => m.inc("serve_result_cache_misses_total", 1),
-            _ => {}
-        }
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Stores an answer.
-    pub fn put(&self, key: u64, answer: PipelineAnswer) {
-        self.inner.lock().entries.insert(key, answer);
-    }
-
-    /// Drops every entry (epoch swap). Counters survive — they
-    /// describe the run, not the epoch.
-    pub fn clear(&self) {
-        self.inner.lock().entries.clear();
-    }
-
-    /// Number of cached answers.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
+/// L1: exact-match query-result cache, keyed by [`result_key`].
+pub type ResultCache = MeteredCache<PipelineAnswer, FxBuildHasher>;
 
 /// Point-in-time hit/miss counters across all three levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,11 +76,21 @@ impl CacheStack {
         Self::default()
     }
 
-    /// Attaches one registry to every level.
+    /// Attaches one registry to every level; each level counts under
+    /// its own fixed pair of names.
     pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        self.result.attach_metrics(metrics.clone());
-        self.memo.attach_metrics(metrics.clone());
-        self.llm.attach_metrics(metrics);
+        self.result.attach_metrics(
+            metrics.clone(),
+            "serve_result_cache_hits_total",
+            "serve_result_cache_misses_total",
+        );
+        self.memo.attach_metrics(
+            metrics.clone(),
+            "mcc_memo_hits_total",
+            "mcc_memo_misses_total",
+        );
+        self.llm
+            .attach_metrics(metrics, "llm_cache_hits_total", "llm_cache_misses_total");
     }
 
     /// Epoch-swap invalidation: clears the two epoch-scoped levels.
@@ -222,32 +159,33 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_counts_and_clears() {
-        let cache = ResultCache::new();
-        let metrics = MetricsRegistry::new();
-        cache.attach_metrics(metrics.clone());
-        let key = result_key(&query(1, "q"));
-        assert!(cache.get(key).is_none());
-        cache.put(key, answer());
-        assert_eq!(cache.get(key).expect("stored").values, answer().values);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("serve_result_cache_hits_total"), 1);
-        assert_eq!(snap.counter("serve_result_cache_misses_total"), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(key).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-    }
-
-    #[test]
     fn epoch_swap_clears_only_epoch_scoped_levels() {
         let stack = CacheStack::new();
+        let metrics = MetricsRegistry::new();
+        stack.attach_metrics(metrics.clone());
+        // One miss then one hit per level.
+        assert!(stack.result.get(7).is_none());
+        assert!(stack.memo.get(9).is_none());
+        assert!(stack.llm.get(11).is_none());
         stack.result.put(7, answer());
         stack.memo.put(9, multirag_core::SlotVerdict::default());
         stack
             .llm
             .put(11, multirag_llmsim::CachedResponse::Authority(0.5));
+        assert_eq!(stack.result.get(7).expect("stored").values, answer().values);
+        assert_eq!(stack.memo.get(9).expect("stored").dropped, 0);
+        assert!(stack.llm.get(11).is_some());
+        let snap = metrics.snapshot();
+        for name in [
+            "serve_result_cache_hits_total",
+            "serve_result_cache_misses_total",
+            "mcc_memo_hits_total",
+            "mcc_memo_misses_total",
+            "llm_cache_hits_total",
+            "llm_cache_misses_total",
+        ] {
+            assert_eq!(snap.counter(name), 1, "{name}");
+        }
         stack.on_epoch_swap();
         assert!(stack.result.is_empty(), "L1 is epoch-scoped");
         assert!(stack.memo.is_empty(), "L2 is epoch-scoped");
@@ -255,7 +193,17 @@ mod tests {
             stack.llm.get(11).is_some(),
             "L3 survives swaps by content-addressing"
         );
-        let counters = stack.counters();
-        assert_eq!(counters.llm_hits, 1);
+        assert_eq!(
+            stack.counters(),
+            CacheCounters {
+                result_hits: 1,
+                result_misses: 1,
+                memo_hits: 1,
+                memo_misses: 1,
+                llm_hits: 2,
+                llm_misses: 1,
+            },
+            "a swap clears entries, never counters"
+        );
     }
 }

@@ -294,7 +294,8 @@ fn serve_with_admission_gated(
 ///
 /// Counts one observation per *computed* answer — L1 hits replay an
 /// already-counted computation and shed requests never produced one.
-/// Comparison is representation-insensitive ([`Value::answer_key`]),
+/// Comparison is representation-insensitive
+/// ([`Value::answer_key`](multirag_kg::Value::answer_key)),
 /// matching the evaluation metrics. The tally accumulates in a
 /// `BTreeMap` and comes back in source-id order by construction, so
 /// folding order never depends on serving interleavings.

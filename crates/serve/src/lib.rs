@@ -18,9 +18,10 @@
 //! * [`engine`] — snapshot-bound worker pools, the L1 fast path,
 //!   bounded admission with load shedding, and the Step-5 credibility
 //!   feedback tally that frozen-history serving defers to publish time.
-//! * [`simloop`] — a closed-loop discrete-event simulator over integer
-//!   simulated microseconds, for byte-stable latency/throughput curves
-//!   with per-request [`RequestTiming`] timelines.
+//! * [`simloop`] — the workspace's one closed-loop discrete-event
+//!   simulator over integer simulated microseconds, for byte-stable
+//!   latency/throughput curves with per-request [`RequestTiming`]
+//!   timelines; single-node serving is its one-shard case.
 //! * [`attrib`] — tail-latency attribution: rebuilds each request's
 //!   service time from its trace's per-stage costs so latency
 //!   decomposes exactly into queue wait + stages + overhead.

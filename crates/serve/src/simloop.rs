@@ -1,4 +1,5 @@
-//! Deterministic closed-loop load simulator.
+//! Deterministic closed-loop load simulator — the one event loop for
+//! single-node serving and for the sharded fleet.
 //!
 //! A closed loop has a fixed number of concurrent clients, each
 //! submitting its next request the moment the previous one resolves —
@@ -6,26 +7,34 @@
 //! (open-loop arrival processes need a random arrival clock, which
 //! would break byte-stable artifacts).
 //!
-//! The simulator is a discrete-event loop over **integer simulated
-//! microseconds**. Per-request service times come from the sequential
-//! oracle ([`crate::engine::serve_sequential`]), so the sim models
-//! *queueing and shedding only* — who waits, who sheds, when — on top
-//! of service times that are already deterministic. No wall clock, no
-//! OS scheduler: the same inputs produce the same [`LoadPoint`] bytes
-//! on every machine.
+//! [`simulate`] is a discrete-event loop over **integer simulated
+//! microseconds** against N shard pools, each with its own workers and
+//! bounded queue. Every request carries a candidate-shard list (owner
+//! first); it runs on the first live candidate with a free worker,
+//! else queues on the first live candidate with queue space, else is
+//! shed. Single-node serving ([`closed_loop_timeline`]) is the
+//! one-shard case: every candidate list is `[0]`. Per-request service
+//! times come from the sequential oracle
+//! ([`crate::engine::serve_sequential`]), so the sim models *queueing
+//! and shedding only* — who waits, who sheds, when — on top of service
+//! times that are already deterministic. No wall clock, no OS
+//! scheduler: the same inputs produce the same bytes on every machine.
 //!
 //! Event ordering is total: by time, then completions before
 //! submissions (a worker freed at `t` can pick up a request submitted
-//! at `t`), then by a monotonic tiebreaker sequence.
+//! at `t`), then by a monotonic tiebreaker sequence. Event times are
+//! saturating sums, so service times near `u64::MAX` pin the clock at
+//! `u64::MAX` instead of overflowing it.
 //!
-//! Percentiles are pure integer nearest-rank over the µs latencies
-//! (`⌈n·p/100⌉`, no float rank arithmetic), exported both as integer
-//! µs ([`LoadPoint::p99_us`]) and as derived ms floats; the µs fields
-//! are the source of truth. [`closed_loop_timeline`] additionally
-//! returns one [`RequestTiming`] per request — the raw
-//! submitted/started/completed stamps the SLO layer's windowing and
-//! tail attribution consume.
+//! The loop reports each completion and each shed to its caller, which
+//! decides what to keep: [`closed_loop_timeline`] keeps one
+//! [`RequestTiming`] per request and pure integer nearest-rank
+//! percentiles (`⌈n·p/100⌉`, no float rank arithmetic), exported both
+//! as integer µs ([`LoadPoint::p99_us`]) and as derived ms floats; the
+//! cluster tier folds completions into per-shard log histograms so a
+//! million-request run stays O(buckets) in memory.
 
+use multirag_faults::FaultPlan;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -90,13 +99,46 @@ impl RequestTiming {
     }
 }
 
+/// Run-wide totals of one [`simulate`] call; per-request outcomes go
+/// to its callback instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoopTotals {
+    /// Requests shed (every live candidate full, or none live).
+    pub shed: usize,
+    /// Requests whose preferred candidate was down.
+    pub failovers: usize,
+    /// Requests whose every candidate was down (counted in `shed` too).
+    pub unrouted: usize,
+    /// Simulated time when the last client finished (µs).
+    pub end_us: u64,
+    /// Peak admission-queue depth per shard.
+    pub peak_queue: Vec<u64>,
+}
+
+impl LoopTotals {
+    /// `completed` requests per simulated second (0 for an empty run).
+    pub fn throughput_qps(&self, completed: usize) -> f64 {
+        if self.end_us > 0 {
+            completed as f64 / (self.end_us as f64 / 1_000_000.0)
+        } else {
+            0.0
+        }
+    }
+
+    /// Total simulated time in ms.
+    pub fn sim_total_ms(&self) -> f64 {
+        self.end_us as f64 / 1000.0
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
-    /// A worker finishes request `request` that `client` submitted at
+    /// `shard` finishes request `request` that `client` submitted at
     /// `submitted` and a worker picked up at `started`.
     Complete {
         client: usize,
         request: usize,
+        shard: u32,
         submitted: u64,
         started: u64,
     },
@@ -117,12 +159,194 @@ fn nearest_rank(sorted: &[u64], percent: u64) -> u64 {
     sorted.get(idx).copied().unwrap_or(0)
 }
 
-/// Runs the closed loop: `concurrency` clients replay `service_us`
-/// (request `i` goes to client `i % concurrency`, preserving each
-/// client's stream order) against `workers` servers fronted by a
-/// bounded queue of `queue_depth`. A submission finding all workers
-/// busy and the queue full is shed; the client backs off
-/// [`SHED_BACKOFF_US`] and moves on to its next request.
+/// Runs the closed loop over `shards` pools of `workers` servers, each
+/// fronted by a bounded queue of `queue_depth`.
+///
+/// `total` requests are driven by `concurrency` clients, round-robin:
+/// client `c` submits requests `c, c + concurrency, …` in order.
+/// Request `i` takes `service_us[i % len]` and may run on the shards
+/// in `candidates[i % len]` (owner first). The replication lets a
+/// few-thousand-request measured oracle drive millions of simulated
+/// requests without per-request state. `outage` optionally supplies a
+/// fault plan plus the simulated-µs width of one outage window; a down
+/// shard accepts no starts and no enqueues for that window.
+///
+/// A submission that finds every live candidate full is shed, and one
+/// whose every candidate is down is shed as unrouted; either way the
+/// client backs off [`SHED_BACKOFF_US`] and moves on. `on_resolved`
+/// sees every request once, in event order: its index, the shard that
+/// served it (`None` exactly when it was shed) and its stamps.
+#[allow(clippy::too_many_arguments)]
+pub fn simulate(
+    service_us: &[u64],
+    candidates: &[Vec<u32>],
+    total: usize,
+    shards: u32,
+    concurrency: usize,
+    workers: usize,
+    queue_depth: usize,
+    outage: Option<(&FaultPlan, u64)>,
+    mut on_resolved: impl FnMut(usize, Option<u32>, RequestTiming),
+) -> LoopTotals {
+    let shards = shards.max(1);
+    let concurrency = concurrency.max(1);
+    let workers = workers.max(1);
+    let service_len = service_us.len().max(1);
+    let cand_len = candidates.len().max(1);
+
+    let mut heap: BinaryHeap<Reverse<(u64, u8, u64, Event)>> = BinaryHeap::new();
+    let mut tiebreak: u64 = 0;
+    let mut push =
+        |heap: &mut BinaryHeap<Reverse<(u64, u8, u64, Event)>>, time: u64, event: Event| {
+            // Completions sort before arrivals at the same instant so a
+            // freed worker can take a same-instant submission.
+            let kind = match event {
+                Event::Complete { .. } => 0u8,
+                Event::Arrive { .. } => 1u8,
+            };
+            tiebreak += 1;
+            heap.push(Reverse((time, kind, tiebreak, event)));
+        };
+    for client in 0..concurrency {
+        push(&mut heap, 0, Event::Arrive { client });
+    }
+
+    // A counter per client instead of materialized request streams, so
+    // a million-request workload costs no per-request memory.
+    let mut submitted_by_client: Vec<usize> = vec![0; concurrency];
+    let quota = |client: usize| total / concurrency + usize::from(client < total % concurrency);
+
+    let mut busy: Vec<usize> = vec![0; shards as usize];
+    // Waiting requests per shard: (client, request, submitted, service).
+    let mut queues: Vec<VecDeque<(usize, usize, u64, u64)>> =
+        vec![VecDeque::new(); shards as usize];
+    let mut totals = LoopTotals {
+        shed: 0,
+        failovers: 0,
+        unrouted: 0,
+        end_us: 0,
+        peak_queue: vec![0; shards as usize],
+    };
+
+    while let Some(Reverse((now, _, _, event))) = heap.pop() {
+        totals.end_us = totals.end_us.max(now);
+        match event {
+            Event::Complete {
+                client,
+                request,
+                shard,
+                submitted,
+                started,
+            } => {
+                let timing = RequestTiming {
+                    served: true,
+                    submitted_us: submitted,
+                    started_us: started,
+                    completed_us: now,
+                };
+                on_resolved(request, Some(shard), timing);
+                let s = shard as usize;
+                let next = queues.get_mut(s).and_then(VecDeque::pop_front);
+                if let Some((qclient, qrequest, qsubmitted, qservice)) = next {
+                    // The freed worker immediately takes the oldest
+                    // queued request; `busy` is unchanged.
+                    push(
+                        &mut heap,
+                        now.saturating_add(qservice),
+                        Event::Complete {
+                            client: qclient,
+                            request: qrequest,
+                            shard,
+                            submitted: qsubmitted,
+                            started: now,
+                        },
+                    );
+                } else if let Some(b) = busy.get_mut(s) {
+                    *b -= 1;
+                }
+                push(&mut heap, now, Event::Arrive { client });
+            }
+            Event::Arrive { client } => {
+                let attempted = submitted_by_client.get(client).copied().unwrap_or(0);
+                if attempted >= quota(client) {
+                    continue; // client retired
+                }
+                if let Some(n) = submitted_by_client.get_mut(client) {
+                    *n += 1;
+                }
+                let request = client + attempted * concurrency;
+                let service = service_us.get(request % service_len).copied().unwrap_or(1);
+                let cands: &[u32] = candidates
+                    .get(request % cand_len)
+                    .map(Vec::as_slice)
+                    .unwrap_or_default();
+
+                let is_down = |shard: u32| match outage {
+                    Some((plan, window_us)) => plan.node_outage(shard, now / window_us.max(1)),
+                    None => false,
+                };
+                let live = || cands.iter().copied().filter(|&n| n < shards && !is_down(n));
+                if live().next().is_none() {
+                    totals.unrouted += 1;
+                } else if cands.iter().copied().find(|&n| !is_down(n)) != cands.first().copied() {
+                    totals.failovers += 1;
+                }
+                // First live candidate with a free worker starts now;
+                // otherwise first live candidate with queue space.
+                if let Some(shard) =
+                    live().find(|&n| busy.get(n as usize).is_some_and(|&b| b < workers))
+                {
+                    if let Some(b) = busy.get_mut(shard as usize) {
+                        *b += 1;
+                    }
+                    push(
+                        &mut heap,
+                        now.saturating_add(service),
+                        Event::Complete {
+                            client,
+                            request,
+                            shard,
+                            submitted: now,
+                            started: now,
+                        },
+                    );
+                } else if let Some(shard) = live().find(|&n| {
+                    queues
+                        .get(n as usize)
+                        .is_some_and(|q| q.len() < queue_depth)
+                }) {
+                    let s = shard as usize;
+                    if let (Some(q), Some(peak)) = (queues.get_mut(s), totals.peak_queue.get_mut(s))
+                    {
+                        q.push_back((client, request, now, service));
+                        *peak = (*peak).max(q.len() as u64);
+                    }
+                } else {
+                    totals.shed += 1;
+                    let timing = RequestTiming {
+                        served: false,
+                        submitted_us: now,
+                        started_us: now,
+                        completed_us: now,
+                    };
+                    on_resolved(request, None, timing);
+                    push(
+                        &mut heap,
+                        now.saturating_add(SHED_BACKOFF_US),
+                        Event::Arrive { client },
+                    );
+                }
+            }
+        }
+    }
+    totals
+}
+
+/// Runs the single-node closed loop: `concurrency` clients replay
+/// `service_us` (request `i` goes to client `i % concurrency`,
+/// preserving each client's stream order) against `workers` servers
+/// fronted by a bounded queue of `queue_depth` — [`simulate`] on one
+/// shard.
 pub fn closed_loop(
     service_us: &[u64],
     concurrency: usize,
@@ -158,137 +382,45 @@ pub fn closed_loop_timeline(
     workers: usize,
     queue_depth: usize,
 ) -> (LoadPoint, Vec<RequestTiming>) {
-    let concurrency = concurrency.max(1);
-    let workers = workers.max(1);
-    // Round-robin partition of the request stream across clients.
-    let mut client_requests: Vec<VecDeque<(usize, u64)>> = vec![VecDeque::new(); concurrency];
-    for (i, &s) in service_us.iter().enumerate() {
-        if let Some(stream) = client_requests.get_mut(i % concurrency) {
-            stream.push_back((i, s));
-        }
-    }
-
-    let mut heap: BinaryHeap<Reverse<(u64, u8, u64, Event)>> = BinaryHeap::new();
-    let mut tiebreak: u64 = 0;
-    let mut push =
-        |heap: &mut BinaryHeap<Reverse<(u64, u8, u64, Event)>>, time: u64, event: Event| {
-            // Completions sort before arrivals at the same instant so a
-            // freed worker can take a same-instant submission.
-            let kind = match event {
-                Event::Complete { .. } => 0u8,
-                Event::Arrive { .. } => 1u8,
-            };
-            tiebreak += 1;
-            heap.push(Reverse((time, kind, tiebreak, event)));
-        };
-    for client in 0..concurrency {
-        push(&mut heap, 0, Event::Arrive { client });
-    }
-
-    let mut busy: usize = 0;
-    // Waiting requests: (client, request, submitted, service).
-    let mut queue: VecDeque<(usize, usize, u64, u64)> = VecDeque::new();
-    let mut latencies_us: Vec<u64> = Vec::new();
     let mut timings = vec![RequestTiming::default(); service_us.len()];
-    let mut shed: usize = 0;
-    let mut end_time: u64 = 0;
-
-    while let Some(Reverse((now, _, _, event))) = heap.pop() {
-        end_time = end_time.max(now);
-        match event {
-            Event::Complete {
-                client,
-                request,
-                submitted,
-                started,
-            } => {
-                latencies_us.push(now - submitted);
-                if let Some(t) = timings.get_mut(request) {
-                    *t = RequestTiming {
-                        served: true,
-                        submitted_us: submitted,
-                        started_us: started,
-                        completed_us: now,
-                    };
-                }
-                if let Some((qclient, qrequest, qsubmitted, qservice)) = queue.pop_front() {
-                    // The freed worker immediately takes the oldest
-                    // queued request; `busy` is unchanged.
-                    push(
-                        &mut heap,
-                        now + qservice,
-                        Event::Complete {
-                            client: qclient,
-                            request: qrequest,
-                            submitted: qsubmitted,
-                            started: now,
-                        },
-                    );
-                } else {
-                    busy -= 1;
-                }
-                push(&mut heap, now, Event::Arrive { client });
+    let mut latencies_us: Vec<u64> = Vec::with_capacity(service_us.len());
+    let totals = simulate(
+        service_us,
+        &[vec![0]],
+        service_us.len(),
+        1,
+        concurrency,
+        workers,
+        queue_depth,
+        None,
+        |request, shard, timing| {
+            if shard.is_some() {
+                latencies_us.push(timing.latency_us());
             }
-            Event::Arrive { client } => {
-                let Some((request, service)) = client_requests
-                    .get_mut(client)
-                    .and_then(VecDeque::pop_front)
-                else {
-                    continue; // client retired
-                };
-                if busy < workers {
-                    busy += 1;
-                    push(
-                        &mut heap,
-                        now + service,
-                        Event::Complete {
-                            client,
-                            request,
-                            submitted: now,
-                            started: now,
-                        },
-                    );
-                } else if queue.len() < queue_depth {
-                    queue.push_back((client, request, now, service));
-                } else {
-                    shed += 1;
-                    if let Some(t) = timings.get_mut(request) {
-                        *t = RequestTiming {
-                            served: false,
-                            submitted_us: now,
-                            started_us: now,
-                            completed_us: now,
-                        };
-                    }
-                    push(&mut heap, now + SHED_BACKOFF_US, Event::Arrive { client });
-                }
+            if let Some(t) = timings.get_mut(request) {
+                *t = timing;
             }
-        }
-    }
+        },
+    );
 
     latencies_us.sort_unstable();
     let completed = latencies_us.len();
-    let throughput_qps = if end_time > 0 {
-        completed as f64 / (end_time as f64 / 1_000_000.0)
-    } else {
-        0.0
-    };
     let p50_us = nearest_rank(&latencies_us, 50);
     let p95_us = nearest_rank(&latencies_us, 95);
     let p99_us = nearest_rank(&latencies_us, 99);
     let point = LoadPoint {
-        concurrency,
+        concurrency: concurrency.max(1),
         offered: service_us.len(),
         completed,
-        shed,
-        throughput_qps,
+        shed: totals.shed,
+        throughput_qps: totals.throughput_qps(completed),
         p50_us,
         p95_us,
         p99_us,
         p50_ms: p50_us as f64 / 1000.0,
         p95_ms: p95_us as f64 / 1000.0,
         p99_ms: p99_us as f64 / 1000.0,
-        sim_total_ms: end_time as f64 / 1000.0,
+        sim_total_ms: totals.sim_total_ms(),
     };
     (point, timings)
 }
